@@ -440,7 +440,7 @@ def _bench_fig2_scaled(cfg: BenchConfig) -> dict:
             f"drops {len(base_cols[0])} vs {len(opt_cols[0])})"
         )
     return {
-        "unit": "seconds",
+        "unit": "events/sec",
         "sim_seconds": cfg.fig2_duration,
         "n_flows": cfg.fig2_flows + cfg.fig2_noise,
         "n_drops": int(len(base_cols[0])),

@@ -70,12 +70,11 @@ class NoisyLink(Link):
         self.max_noise = float(max_noise)
 
     def _transmit(self, pkt: Packet) -> None:
-        self.busy = True
+        # Overriding this hook keeps the link on the two-event path.
         tx_time = pkt.size * 8.0 / self.rate_bps
         if self.max_noise > 0:
             tx_time += float(self.rng.random()) * self.max_noise
-        self.busy_time += tx_time
-        self.sim.schedule_fast(tx_time, self._transmission_done, pkt)
+        self._occupy(pkt, tx_time)
 
 
 @dataclass

@@ -19,15 +19,23 @@ engine (see ``docs/PERFORMANCE.md``):
 
 The **timer wheel** replaces per-event heap sifts for the near-future
 timers that dominate ``schedule_fast`` traffic: an entry lands in an
-unsorted bucket (O(1) append, no sift), level 0 spanning ~1 s at
-~122 µs resolution and level 1 spanning ~256 s beyond it; anything
-farther overflows to the binary heap.  When the dispatcher reaches a
-bucket it sorts it once (C timsort over tuple keys) and **batch-
-dequeues** the whole same-tick run through a cursor — no compare-and-
-sift per event.  Ties still break by ``seq``: buckets hold the same
-``(time, seq, ...)`` tuples, so a sorted bucket fires in exactly the
-order the pure heap would have produced.  Set ``REPRO_WHEEL=0`` (or
-``Simulator(use_wheel=False)``) to fall back to the pure-heap path.
+unsorted bucket (O(1) append, no sift), level 0 spanning ~1 s and
+level 1 spanning ~256 s beyond it; anything farther overflows to the
+binary heap.  When the dispatcher reaches a bucket it sorts it once (C
+timsort over tuple keys) and **batch-dequeues** the whole same-tick run
+through a cursor — no compare-and-sift per event.  Ties still break by
+``seq``: buckets hold the same ``(time, seq, ...)`` tuples, so a sorted
+bucket fires in exactly the order a pure heap would have produced
+(:class:`~repro.sim.reference.ReferenceSimulator` is that heap, kept as
+the oracle).
+
+**Reserved keys.**  :meth:`Simulator.reserve_seq` hands out sequence
+numbers ahead of use and :meth:`Simulator.schedule_fast_at` files an
+entry under such a key at an absolute time.  A link uses the pair to
+skip the tx-complete event of an idle hop while keeping the key that
+event would have had: :meth:`Simulator.dispatched` tells whether the
+dispatcher has reached the key, and a drain event filed under it later
+fires exactly where the skipped event would have.
 
 Determinism matters for reproducing the paper's traces, so events
 scheduled for the same timestamp are executed in scheduling order (the
@@ -44,7 +52,6 @@ from __future__ import annotations
 import contextlib
 import heapq
 import math
-import os
 from bisect import insort
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
@@ -71,20 +78,25 @@ PACKET_POOL_MAX = 4096
 # current ~1 s at one bucket per tick; level 1 holds the next ~256 s at
 # one bucket per level-0 span ("group"); anything farther overflows to
 # the binary heap.  Bucket choice never affects ordering — dispatch
-# always orders by the ``(time, seq)`` tuple prefix — so resolution is a
-# performance knob, not a semantic one.  The level-0 span is sized to
-# cover WAN-RTT-scale timers (propagation deliveries up to hundreds of
-# ms) on the inline ``schedule_fast`` route: with a 0.25 s span those
-# mostly landed in level 1 and paid the cascade, which made the wheel a
-# net loss on RTT-dominated scenarios.
-_TICK_HZ = 8192.0  # 2**13 ticks/sec (~122 us per tick)
-_W0_BITS = 13
-_W0 = 1 << _W0_BITS  # 8192 level-0 buckets (~1 s span)
+# always orders by the ``(time, seq)`` tuple prefix — so the geometry is
+# a measured constant, not a semantic choice.  The level-0 span covers
+# WAN-RTT-scale timers (propagation deliveries up to hundreds of ms) on
+# the inline route; with a 0.25 s span those mostly landed in level 1
+# and paid the cascade.  The tick trades bucket advances (a Python scan
+# per released bucket) against same-tick ``insort`` into the batch being
+# drained: on the FAST Fig. 8 grid with fused link hops, 8192 Hz made
+# 847k advances and 141k insorts per pass, 1024 Hz makes 172k and 461k
+# and runs the pass ~15% faster (docs/PERFORMANCE.md).
+_TICK_HZ = 1024.0  # 2**10 ticks/sec (~977 us per tick)
+_W0_BITS = 10
+_W0 = 1 << _W0_BITS  # 1024 level-0 buckets (~1 s span)
 _W0_MASK = _W0 - 1
 _W1 = 256  # level-1 groups (~256 s horizon)
 _W1_MASK = _W1 - 1
 
-_WHEEL_DEFAULT = os.environ.get("REPRO_WHEEL", "1") != "0"
+#: Placeholder for the "last dispatched entry" slot of the due batch
+#: before any event has fired.
+_NOTHING_DISPATCHED = (-math.inf, -1, None, ())
 
 
 class SimulationError(RuntimeError):
@@ -213,12 +225,13 @@ class Simulator:
     Entries live in one of four places, all ordered by the same key:
 
     * ``_due`` — the sorted batch currently being drained (a released
-      wheel bucket), consumed through the ``_due_i`` cursor;
+      wheel bucket), consumed through the ``_due_i`` cursor.  The entry
+      just before the cursor is always the last one dispatched (heap
+      entries are spliced in at the cursor as they fire), which is what
+      :meth:`dispatched` reads;
     * ``_w0`` — level-0 wheel buckets (one per tick, current ~1 s);
     * ``_w1`` — level-1 wheel buckets (one per level-0 span, next ~256 s);
-    * ``_heap`` — binary-heap overflow for far timers, and the only
-      queue when the wheel is disabled (``use_wheel=False`` /
-      ``REPRO_WHEEL=0``).
+    * ``_heap`` — binary-heap overflow for far timers.
 
     Example
     -------
@@ -231,7 +244,7 @@ class Simulator:
     ['b', 'a']
     """
 
-    def __init__(self, use_wheel: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple] = []
         self._seq = 0
         self.now: float = 0.0
@@ -245,20 +258,19 @@ class Simulator:
         self.metrics: Optional["MetricsRegistry"] = None
         # Timer wheel.  ``_pos`` is the last tick consumed (wheel entries
         # always have tick > _pos); ``_w0_group`` is the level-0 span
-        # (tick >> _W0_BITS) the w0 buckets currently cover.  ``_w0`` is
-        # None exactly when the wheel is disabled, so the hot path pays a
-        # single identity check to pick its route.
-        self.use_wheel = _WHEEL_DEFAULT if use_wheel is None else bool(use_wheel)
-        self._w0: Optional[list[list]] = None
-        self._w1: Optional[list[list]] = None
+        # (tick >> _W0_BITS) the w0 buckets currently cover.  The clock
+        # starts at 0, so tick 0's span is the first group.
+        self._w0: list[list] = [[] for _ in range(_W0)]
+        self._w1: list[list] = [[] for _ in range(_W1)]
         self._w0_count = 0
         self._w1_count = 0
         self._pos = -1
         self._w0_group = 0
-        self._due: list[tuple] = []
-        self._due_i = 0
-        if self.use_wheel:
-            self._alloc_wheel()
+        self._due: list[tuple] = [_NOTHING_DISPATCHED]
+        self._due_i = 1
+        # Outside a run, the largest seq dispatched at the clock's time
+        # (inf once a run has reached every key there; see dispatched()).
+        self._horizon: float = -1
         # Free lists (object pools).  Recycled Events come back through
         # the run loop; recycled Packets through free_packet() at their
         # terminal consumer (sink delivery / drop).
@@ -321,22 +333,66 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         time = self.now + delay
-        w0 = self._w0
-        if w0 is not None:
-            tick = int(time * _TICK_HZ)
-            if tick > self._pos and (tick >> _W0_BITS) == self._w0_group:
-                w0[tick & _W0_MASK].append((time, seq, fn, args))
-                self._w0_count += 1
-                return
+        tick = int(time * _TICK_HZ)
+        if tick > self._pos and (tick >> _W0_BITS) == self._w0_group:
+            self._w0[tick & _W0_MASK].append((time, seq, fn, args))
+            self._w0_count += 1
+            return
         self._push((time, seq, fn, args), time)
+
+    def reserve_seq(self, n: int = 1) -> int:
+        """Draw ``n`` consecutive sequence numbers from the shared counter
+        without scheduling anything; returns the first.
+
+        A reserved number orders exactly like one drawn by a schedule
+        call at this moment, so an entry filed under it later with
+        :meth:`schedule_fast_at` fires where an entry scheduled now
+        would have.
+        """
+        seq = self._seq
+        self._seq = seq + n
+        return seq
+
+    def schedule_fast_at(self, time: float, seq: int, fn: Callable[..., Any],
+                         args: tuple) -> None:
+        """Slot-free entry ``fn(*args)`` at absolute ``time`` under a key
+        from :meth:`reserve_seq`.
+
+        Taking the absolute time matters: ``(now + tx) + delay`` and
+        ``now + (tx + delay)`` are different floats, and a link fusing
+        its tx-complete and delivery events must land on the first.  The
+        key must not have been dispatched yet (``time >= now``, and
+        ``not dispatched(time, seq)``) and must not be filed twice.
+        """
+        if not self.now <= time < math.inf:
+            raise SimulationError(f"fast-path time must be finite and >= now: {time!r}")
+        tick = int(time * _TICK_HZ)
+        if tick > self._pos and (tick >> _W0_BITS) == self._w0_group:
+            self._w0[tick & _W0_MASK].append((time, seq, fn, args))
+            self._w0_count += 1
+            return
+        self._push((time, seq, fn, args), time)
+
+    def dispatched(self, time: float, seq: int) -> bool:
+        """Whether the dispatcher has reached the key ``(time, seq)``.
+
+        Keys fire in increasing ``(time, seq)`` order, so a key is reached
+        once the clock is beyond ``time`` or, at ``time`` itself, once the
+        event being (or last) dispatched does not sort before it.  A run
+        that stops at ``until`` has reached every key at ``until``.
+        """
+        now = self.now
+        if time != now:
+            return time < now
+        if self._running:
+            # The entry just before the cursor is the one being dispatched.
+            return seq <= self._due[self._due_i - 1][1]
+        return seq <= self._horizon
 
     def _push(self, entry: tuple, time: float) -> None:
         """Route one entry to the wheel level covering its timestamp (or
         the overflow heap)."""
         w0 = self._w0
-        if w0 is None:
-            heapq.heappush(self._heap, entry)
-            return
         tick = int(time * _TICK_HZ)
         while True:
             if tick > self._pos:
@@ -365,19 +421,11 @@ class Simulator:
             # The wheel already advanced past this tick (same-tick
             # scheduling from inside the dispatch loop): join the batch
             # being drained, keeping it sorted.  The insertion point is
-            # always at/after the cursor — a new entry's time is >= now
-            # and its seq is newer than everything already released.
+            # always at/after the cursor — a new entry's key sorts after
+            # the one being dispatched (time >= now, and a fresh seq is
+            # newer; a reserved one was never dispatched).
             insort(self._due, entry, self._due_i)
             return
-
-    def _alloc_wheel(self) -> None:
-        self._w0 = [[] for _ in range(_W0)]
-        self._w1 = [[] for _ in range(_W1)]
-        # Anchor the wheel at the current clock so the first group starts
-        # at now's span, not at t=0 (a sim can start scheduling late).
-        tick = int(self.now * _TICK_HZ)
-        self._pos = tick - 1
-        self._w0_group = tick >> _W0_BITS
 
     def schedule_every(self, interval: float, fn: Callable[..., Any], *args: Any) -> RepeatingEvent:
         """Run ``fn(*args)`` every ``interval`` sim-seconds while the
@@ -492,23 +540,22 @@ class Simulator:
         heap = self._heap
         heap[:] = self._sweep_live(heap, [])
         heapq.heapify(heap)
-        if self._w0 is not None:
-            w0_count = 0
-            for bucket in self._w0:
-                if bucket:
-                    live = self._sweep_live(bucket, [])
-                    if len(live) != len(bucket):
-                        bucket[:] = live
-                    w0_count += len(bucket)
-            self._w0_count = w0_count
-            w1_count = 0
-            for bucket in self._w1:
-                if bucket:
-                    live = self._sweep_live(bucket, [])
-                    if len(live) != len(bucket):
-                        bucket[:] = live
-                    w1_count += len(bucket)
-            self._w1_count = w1_count
+        w0_count = 0
+        for bucket in self._w0:
+            if bucket:
+                live = self._sweep_live(bucket, [])
+                if len(live) != len(bucket):
+                    bucket[:] = live
+                w0_count += len(bucket)
+        self._w0_count = w0_count
+        w1_count = 0
+        for bucket in self._w1:
+            if bucket:
+                live = self._sweep_live(bucket, [])
+                if len(live) != len(bucket):
+                    bucket[:] = live
+                w1_count += len(bucket)
+        self._w1_count = w1_count
         due = self._due
         if self._due_i < len(due):
             tail = self._sweep_live(due[self._due_i:], [])
@@ -555,11 +602,12 @@ class Simulator:
         down when the current span is exhausted.  The released bucket is
         sorted once — C timsort over ``(time, seq)`` tuple keys — and
         then drained via the cursor: the batch-dequeue that replaces a
-        compare-and-sift per event.
+        compare-and-sift per event.  The last dispatched entry stays at
+        the front of the batch, just before the cursor.
         """
         due = self._due
-        due.clear()
-        self._due_i = 0
+        del due[:-1]
+        self._due_i = 1
         w0 = self._w0
         while True:
             if self._w0_count:
@@ -571,11 +619,11 @@ class Simulator:
                 while tick < end:
                     bucket = w0[tick & _W0_MASK]
                     if bucket:
+                        if len(bucket) > 1:
+                            bucket.sort()
                         due.extend(bucket)
+                        self._w0_count -= len(bucket)
                         bucket.clear()
-                        self._w0_count -= len(due)
-                        if len(due) > 1:
-                            due.sort()
                         self._pos = tick
                         return
                     tick += 1
@@ -615,6 +663,8 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        budget = math.inf if max_events is None else max_events
+        completed = False
         try:
             heap = self._heap
             heappop = heapq.heappop
@@ -622,21 +672,22 @@ class Simulator:
             # The profiler cannot change mid-run (profile() brackets the
             # whole run), so bind it once outside the dispatch loop.
             prof = self._profiler
-            budget = math.inf if max_events is None else max_events
             while budget > 0:
                 i = self._due_i
                 if i < len(due):
                     entry = due[i]
                     if heap and heap[0] < entry:
                         # A far timer overflowed to the heap and is now
-                        # nearer than the wheel batch: merge by key.
-                        if heap[0][0] > until:
-                            break
-                        entry = heappop(heap)
-                    else:
+                        # nearer than the wheel batch: merge by key,
+                        # splicing it in at the cursor.
+                        entry = heap[0]
                         if entry[0] > until:
                             break
-                        self._due_i = i + 1
+                        heappop(heap)
+                        due.insert(i, entry)
+                    elif entry[0] > until:
+                        break
+                    self._due_i = i + 1
                 elif self._w0_count or self._w1_count:
                     self._advance_wheel()
                     continue
@@ -645,6 +696,9 @@ class Simulator:
                     if entry[0] > until:
                         break
                     heappop(heap)
+                    del due[:-1]
+                    due.append(entry)
+                    self._due_i = 2
                 else:
                     break
                 args = entry[3]
@@ -653,6 +707,9 @@ class Simulator:
                     ev = entry[2]
                     ev.owner = None
                     if ev.cancelled:
+                        # The corpse leaves the slot before the cursor
+                        # to the last entry actually dispatched.
+                        due[self._due_i - 1] = due[self._due_i - 2]
                         self._discard_cancelled_pop(ev)
                         continue
                     fn, args = ev.fn, ev.args
@@ -670,8 +727,17 @@ class Simulator:
                 budget -= 1
             if math.isfinite(until) and self.now < until and not (self.queued and budget <= 0):
                 self.now = until
+            completed = True
         finally:
             self._running = False
+            # For dispatched() outside a run: every key at the clock's time
+            # has been reached, unless the run stopped on its event budget
+            # with work pending (or a callback raised) — then only keys up
+            # to the last dispatched one have.
+            if completed and not (budget <= 0 and self.queued):
+                self._horizon = math.inf
+            else:
+                self._horizon = self._due[self._due_i - 1][1]
 
     def step(self) -> bool:
         """Execute the single next pending event.  Returns False if idle."""
@@ -683,13 +749,16 @@ class Simulator:
                 entry = due[i]
                 if heap and heap[0] < entry:
                     entry = heapq.heappop(heap)
-                else:
-                    self._due_i = i + 1
+                    due.insert(i, entry)
+                self._due_i = i + 1
             elif self._w0_count or self._w1_count:
                 self._advance_wheel()
                 continue
             elif heap:
                 entry = heapq.heappop(heap)
+                del due[:-1]
+                due.append(entry)
+                self._due_i = 2
             else:
                 return False
             args = entry[3]
@@ -697,6 +766,7 @@ class Simulator:
                 ev = entry[2]
                 ev.owner = None
                 if ev.cancelled:
+                    due[self._due_i - 1] = due[self._due_i - 2]
                     self._discard_cancelled_pop(ev)
                     continue
                 fn, args = ev.fn, ev.args
@@ -704,6 +774,7 @@ class Simulator:
             else:
                 fn = entry[2]
             self.now = entry[0]
+            self._horizon = entry[1]
             fn(*args)
             self.events_processed += 1
             return True
@@ -717,6 +788,7 @@ class Simulator:
             if i < len(due):
                 entry = due[i]
                 if entry[3] is None and entry[2].cancelled:
+                    due[i] = due[i - 1]
                     self._due_i = i + 1
                     entry[2].owner = None
                     self._discard_cancelled_pop(entry[2])

@@ -48,10 +48,6 @@ class Node:
         """Install a static route: destination node id -> outgoing link."""
         self.routes[dst_node_id] = link
 
-    def route_for(self, pkt: Packet) -> Optional["Link"]:
-        """Outgoing link for a packet (falls back to the default route)."""
-        return self.routes.get(pkt.dst, self.default_route)
-
     def receive(self, pkt: Packet, link: Optional["Link"] = None) -> None:
         """Agent/node entry point: process an incoming packet."""
         raise NotImplementedError
@@ -74,7 +70,7 @@ class Router(Node):
 
     def receive(self, pkt: Packet, link: Optional["Link"] = None) -> None:
         """Agent/node entry point: process an incoming packet."""
-        out = self.route_for(pkt)
+        out = self.routes.get(pkt.dst, self.default_route)
         if out is None:
             self.no_route_drops += 1
             self.sim.free_packet(pkt)
@@ -109,7 +105,7 @@ class Host(Node):
 
     def send(self, pkt: Packet) -> None:
         """Offer a packet to this component for forwarding."""
-        out = self.route_for(pkt)
+        out = self.routes.get(pkt.dst, self.default_route)
         if out is None:
             out = self.uplink
         if out is None:

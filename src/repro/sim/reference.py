@@ -16,9 +16,11 @@ jobs:
   (``tests/sim/test_scheduler_equivalence.py``).
 
 The optimized API surface (``schedule_fast``, ``alloc_packet``,
-``free_packet``) is shimmed onto the reference semantics — same observable
-behaviour, original cost model — so any scenario built for ``Simulator``
-runs unchanged on ``ReferenceSimulator``.
+``free_packet``, and the reserved keys fused link hops use:
+``reserve_seq``, ``schedule_fast_at``, ``dispatched``) is shimmed onto the
+reference semantics — same observable behaviour, original cost model — so
+any scenario built for ``Simulator`` runs unchanged on
+``ReferenceSimulator``.
 
 Do not use this class for real experiments; it is deliberately slow.
 """
@@ -51,10 +53,13 @@ class ReferenceSimulator:
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
-        self._seq = itertools.count()
+        self._seq = 0
         self.now: float = 0.0
         self.events_processed: int = 0
         self._running = False
+        # Seq of the event being (or last) dispatched at ``now``, or inf
+        # once a run has reached every key at ``now`` (see dispatched()).
+        self._horizon: float = -1
         self._cancelled = 0
         self.compactions = 0
         self._profiler: Optional["EventLoopProfile"] = None
@@ -85,7 +90,9 @@ class ReferenceSimulator:
             raise SimulationError(
                 f"cannot schedule in the past: t={time:.9f} < now={self.now:.9f}"
             )
-        ev = Event(time, next(self._seq), fn, args)
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(time, seq, fn, args)
         ev.owner = self
         heapq.heappush(self._heap, ev)
         return ev
@@ -96,6 +103,31 @@ class ReferenceSimulator:
         if not 0.0 <= delay < math.inf:
             raise SimulationError(f"fast-path delay must be finite and >= 0: {delay!r}")
         self.schedule_at(self.now + delay, fn, *args)
+
+    def reserve_seq(self, n: int = 1) -> int:
+        """Draw ``n`` sequence numbers ahead of use; see
+        :meth:`Simulator.reserve_seq`."""
+        seq = self._seq
+        self._seq = seq + n
+        return seq
+
+    def schedule_fast_at(self, time: float, seq: int, fn: Callable[..., Any],
+                         args: tuple) -> None:
+        """Schedule ``fn(*args)`` at absolute ``time`` under a reserved
+        key; see :meth:`Simulator.schedule_fast_at`."""
+        if not self.now <= time < math.inf:
+            raise SimulationError(f"fast-path time must be finite and >= now: {time!r}")
+        ev = Event(time, seq, fn, args)
+        ev.owner = self
+        heapq.heappush(self._heap, ev)
+
+    def dispatched(self, time: float, seq: int) -> bool:
+        """Whether the key ``(time, seq)`` has been reached; see
+        :meth:`Simulator.dispatched`."""
+        now = self.now
+        if time != now:
+            return time < now
+        return seq <= self._horizon
 
     def schedule_every(self, interval: float, fn: Callable[..., Any], *args: Any) -> RepeatingEvent:
         """Run ``fn(*args)`` every ``interval`` sim-seconds while other
@@ -169,6 +201,7 @@ class ReferenceSimulator:
                         self._profiler.record_cancelled_pop()
                     continue
                 self.now = ev.time
+                self._horizon = ev.seq
                 fn, args = ev.fn, ev.args
                 ev.fn, ev.args = None, ()  # release references
                 assert fn is not None
@@ -183,6 +216,8 @@ class ReferenceSimulator:
                 budget -= 1
             if math.isfinite(until) and self.now < until and not (heap and budget <= 0):
                 self.now = until
+            if not (heap and budget <= 0):
+                self._horizon = math.inf
         finally:
             self._running = False
 
@@ -196,6 +231,7 @@ class ReferenceSimulator:
                 self._cancelled -= 1
                 continue
             self.now = ev.time
+            self._horizon = ev.seq
             fn, args = ev.fn, ev.args
             ev.fn, ev.args = None, ()
             assert fn is not None

@@ -50,15 +50,10 @@ class ReorderingLink(Link):
         self.reordered = 0
 
     def _transmission_done(self, pkt: Packet) -> None:
-        self.bytes_forwarded += pkt.size
-        self.packets_forwarded += 1
+        # Overriding this hook keeps the link on the two-event path, so
+        # the lag is drawn at tx-complete time, in the same RNG order.
         lag = 0.0
         if self.reorder_prob > 0.0 and self.rng.random() < self.reorder_prob:
             lag = self.extra_delay
             self.reordered += 1
-        self.sim.schedule_fast(self.delay + lag, self.dst.receive, pkt, self)
-        nxt = self.queue.pop(self.sim.now)
-        if nxt is not None:
-            self._transmit(nxt)
-        else:
-            self.busy = False
+        self._complete(pkt, self.delay + lag)

@@ -55,8 +55,9 @@ class TcpSink:
         self.flow_id = flow_id
         self.src = src  # node id the ACKs go back to
         self.next_expected = 0
+        # Received sequence numbers above next_expected (never holds
+        # next_expected itself); also what dedupes the byte accounting.
         self._out_of_order: set[int] = set()
-        self._delivered: set[int] = set()  # dedupe for byte accounting
         # Raw wire arrivals (duplicates included): the receiver-side term of
         # the per-flow conservation identity sent == arrived + dropped that
         # repro.obs.invariants verifies (stats.packets_received is deduped).
@@ -85,8 +86,7 @@ class TcpSink:
         self.bytes_arrived += pkt.size
         if self.delay_trace is not None:
             self.delay_trace.record(pkt, now)
-        if pkt.seq >= self.next_expected and pkt.seq not in self._delivered:
-            self._delivered.add(pkt.seq)
+        if pkt.seq >= self.next_expected and pkt.seq not in self._out_of_order:
             self.stats.packets_received += 1
             self.stats.bytes_received += pkt.size
             if self.throughput is not None:
@@ -100,9 +100,6 @@ class TcpSink:
             while self.next_expected in self._out_of_order:
                 self._out_of_order.remove(self.next_expected)
                 self.next_expected += 1
-            # keep the delivered set small: everything below next_expected
-            # is implied by the cumulative point.
-            self._delivered = {s for s in self._delivered if s >= self.next_expected}
         elif pkt.seq > self.next_expected:
             self._out_of_order.add(pkt.seq)
 

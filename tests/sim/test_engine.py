@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.reference import ReferenceSimulator
 
 
 def test_events_run_in_time_order():
@@ -353,5 +354,5 @@ class TestWheelCancelBookkeeping:
             sim.run()
             return log, sim.events_processed, sim.pending
 
-        # identical workloads, wheel on vs off
-        assert churn(Simulator(use_wheel=True)) == churn(Simulator(use_wheel=False))
+        # identical workloads, wheel engine vs the pure-heap reference
+        assert churn(Simulator()) == churn(ReferenceSimulator())

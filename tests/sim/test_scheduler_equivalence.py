@@ -12,14 +12,16 @@ logs match exactly.
 import numpy as np
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.reference import ReferenceSimulator
 
 
-def _random_workload(sim, rng_seed: int, n_ops: int = 400):
+def _random_workload(sim, rng_seed: int, n_ops: int = 400, scale: float = 1.0):
     """Drive ``sim`` with a seeded mix of schedule/schedule_at/
     schedule_fast/cancel operations (duplicate times included, so the
-    (time, seq) tie-break is exercised) and return the firing log."""
+    (time, seq) tie-break is exercised) and return the firing log.
+    ``scale`` stretches the top-level delays (callback reschedules stay
+    sub-second)."""
     rng = np.random.default_rng(rng_seed)
     log = []
     handles = []
@@ -34,7 +36,7 @@ def _random_workload(sim, rng_seed: int, n_ops: int = 400):
 
     for i in range(n_ops):
         # Quantized delays force plenty of exact time collisions.
-        delay = float(rng.integers(0, 16)) * 0.0625
+        delay = float(rng.integers(0, 16)) * 0.0625 * scale
         kind = int(rng.integers(0, 4))
         if kind == 0:
             sim.schedule_fast(delay, fire, i)
@@ -184,29 +186,37 @@ def test_schedule_fast_validates_delay():
 # ----------------------------------------------------------------------
 # Timer wheel vs heap, and same-timestamp batch dequeue
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 17])
 def test_wheel_engine_matches_heap_engine(seed):
     """The wheel fast path (near timers in slots, far timers in the
-    overflow heap) must fire identically to the pure-heap engine for any
-    workload — same order, same timestamps, same tie-breaks."""
-    wheel_log = _random_workload(Simulator(use_wheel=True), seed)
-    heap_log = _random_workload(Simulator(use_wheel=False), seed)
+    overflow heap) must fire identically to a pure-heap engine (the
+    reference oracle) for any workload — same order, same timestamps,
+    same tie-breaks."""
+    wheel_log = _random_workload(Simulator(), seed)
+    heap_log = _random_workload(ReferenceSimulator(), seed)
     assert len(wheel_log) > 400
     assert wheel_log == heap_log
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_wheel_engine_matches_reference(seed):
-    assert (_random_workload(Simulator(use_wheel=True), seed)
-            == _random_workload(ReferenceSimulator(), seed))
+    """Delays stretched across every wheel tier (level-0 buckets,
+    level-1 groups, and the overflow heap past the ~256 s horizon) must
+    still fire exactly as in the reference engine."""
+    wheel_log = _random_workload(Simulator(), seed, scale=300.0)
+    ref_log = _random_workload(ReferenceSimulator(), seed, scale=300.0)
+    times = [t for t, _ in wheel_log]
+    assert min(t for t in times if t > 0) < 1.0 and max(times) > 256.0
+    assert wheel_log == ref_log
 
 
-@pytest.mark.parametrize("use_wheel", [True, False], ids=["wheel", "heap"])
-def test_same_timestamp_batches_dequeue_in_schedule_order(use_wheel):
+@pytest.mark.parametrize("engine", [Simulator, ReferenceSimulator],
+                         ids=["wheel", "heap"])
+def test_same_timestamp_batches_dequeue_in_schedule_order(engine):
     """Batch dequeue of a same-timestamp run must preserve the (time,
     seq) contract: FIFO within a timestamp, across every scheduling API
     and across events that append to a batch currently being drained."""
-    sim = Simulator(use_wheel=use_wheel)
+    sim = engine()
     ref = ReferenceSimulator()
     def drive(s):
         log = []
@@ -227,14 +237,21 @@ def test_same_timestamp_batches_dequeue_in_schedule_order(use_wheel):
             s.schedule_fast(1.0, fire, 1000 + i)
         s.run()
         return log
-    assert drive(sim) == drive(ref)
+    log = drive(sim)
+    assert log == drive(ref)
+    # The contract itself, independent of the oracle: time order, and
+    # scheduling order within each timestamp.
+    assert [t for t, _ in log] == sorted(t for t, _ in log)
+    assert [tag for t, tag in log if t == 0.25] == [25 + i for i in range(6)] * 2
+    assert [tag for t, tag in log if t == 0.5][:7] == [50 + i for i in range(6)] + [50]
+    assert [tag for t, tag in log if t == 1.0] == [1000 + i for i in range(200)]
 
 
 def test_far_timers_overflow_to_heap_and_cascade_back():
     """Timers beyond the wheel horizon start in the overflow heap but
     must still fire in exact order with near timers, including after the
     clock jumps far forward through heap-only regions."""
-    sim = Simulator(use_wheel=True)
+    sim = Simulator()
     log = []
     for t in (1e5, 2.0, 1e5 + 0.001, 0.001, 3e5):
         sim.schedule_at(t, log.append, t)
@@ -245,7 +262,7 @@ def test_far_timers_overflow_to_heap_and_cascade_back():
 
 
 def test_run_until_with_wheel_resident_timers():
-    sim = Simulator(use_wheel=True)
+    sim = Simulator()
     fired = []
     for k in range(100):
         sim.schedule_fast(0.001 * (k + 1), fired.append, k)
@@ -254,3 +271,56 @@ def test_run_until_with_wheel_resident_timers():
     assert sim.now == 0.05
     sim.run()
     assert fired == list(range(100))
+
+
+# ----------------------------------------------------------------------
+# Reserved keys (the fused-link-hop API)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", [Simulator, ReferenceSimulator],
+                         ids=["wheel", "heap"])
+def test_reserved_key_fires_where_a_schedule_would_have(engine):
+    """An entry filed later under a reserved seq fires exactly where an
+    entry scheduled at reservation time would have, and ``dispatched``
+    tracks the key before, at and after its timestamp."""
+    sim = engine()
+    log = []
+    sim.schedule_at(1.0, log.append, "before")     # seq 0
+    key = sim.reserve_seq()                         # seq 1
+    sim.schedule_at(1.0, log.append, "after")      # seq 2
+    seen = []
+
+    def probe(tag):
+        seen.append((tag, sim.dispatched(1.0, key)))
+
+    sim.schedule_at(0.5, probe, "early")
+    sim.schedule_at(0.5, sim.schedule_fast_at, 1.0, key, log.append, ("reserved",))
+    sim.schedule_at(1.0, probe, "same-time-later")
+    assert not sim.dispatched(1.0, key)
+    sim.run(until=0.75)
+    assert not sim.dispatched(1.0, key)
+    sim.run()
+    assert log == ["before", "reserved", "after"]
+    assert seen == [("early", False), ("same-time-later", True)]
+    assert sim.dispatched(1.0, key)
+    with pytest.raises(SimulationError):
+        sim.schedule_fast_at(0.5, sim.reserve_seq(), log.append, ("past",))
+
+
+@pytest.mark.parametrize("engine", [Simulator, ReferenceSimulator],
+                         ids=["wheel", "heap"])
+def test_dispatched_outside_a_run(engine):
+    """Outside a run, a key at the clock's time counts as reached unless
+    the run stopped on its event budget before it."""
+    sim = engine()
+    for t in (1.0, 1.0, 2.0):
+        sim.schedule_at(t, lambda: None)
+    late = sim.reserve_seq()
+    sim.run(max_events=1)          # stops at t=1.0 with one more pending there
+    assert sim.now == 1.0
+    assert sim.dispatched(1.0, 0) and not sim.dispatched(1.0, 1)
+    assert not sim.dispatched(1.0, late)
+    sim.run(until=1.5)
+    assert sim.dispatched(1.0, late) and sim.dispatched(1.5, late)
+    assert not sim.dispatched(2.0, 0)
+    sim.run(until=2.0)             # inclusive: the t=2.0 event ran
+    assert sim.dispatched(2.0, late)
